@@ -75,6 +75,7 @@ mod cluster;
 mod generator;
 mod metrics;
 mod pod;
+mod queues;
 #[cfg(any(test, feature = "reference-engine"))]
 #[doc(hidden)]
 pub mod reference;
@@ -100,6 +101,7 @@ pub use pod::{
     MappingPolicy, MemoryModel, PodConfig, PreemptionMode, ServingReport, ShardPlanner,
     SpotCheckConfig,
 };
+pub use queues::ClientQueues;
 pub use replay::{parse_trace, write_trace, ReplayEntry, TRACE_SCHEMA};
 pub use request::{
     batch_key_of, coalesced_shape, serving_transformer, BatchAxis, BatchKey, Request, RequestClass,
