@@ -7,7 +7,7 @@
 //! place; after the last MAC the array drains for `r` cycles.
 
 use crate::matrix::Matrix;
-use crate::pe::{mac, Lattice};
+use crate::pe::{fetch, mac_os, Axis, Flow, OsPlanes, TileCounts};
 use crate::probe::{FeedOperand, Probe};
 use crate::stats::SimStats;
 
@@ -17,82 +17,88 @@ use crate::stats::SimStats;
 /// Returns the `r x c` output tile and updates `stats` in place. The total
 /// cycle count per tile is `2r + c + k - 2` (Eq. 1 with `T = k`), split as
 /// `k + r + c - 2` active cycles plus `r` drain cycles.
-pub(crate) fn simulate_tile(
+pub(crate) fn run_tile<P: Probe>(
+    planes: &mut OsPlanes,
     a: &Matrix,
     b: &Matrix,
     zero_gating: bool,
     stats: &mut SimStats,
-    probe: &mut dyn Probe,
+    probe: &mut P,
 ) -> Matrix {
     let r = a.rows();
     let k = a.cols();
     let c = b.cols();
     debug_assert_eq!(k, b.rows());
 
-    let mut a_flow = Lattice::new(r, c);
-    let mut b_flow = Lattice::new(r, c);
+    // Operands move right along rows and down columns.
+    let OsPlanes { a_flow, b_flow } = planes;
+    a_flow.reset(r, c, Axis::Rows, Flow::Forward);
+    b_flow.reset(r, c, Axis::Cols, Flow::Forward);
     let mut acc = Matrix::zeros(r, c);
-    let mut slots = 0usize;
+    let mut counts = TileCounts::default();
     let expected = r * c * k;
     let mut cycle = 0usize;
 
-    while slots < expected {
-        // Propagate into the current cycle: left/top edges are fed with the
-        // skewed streams; interior PEs take their neighbour's previous value.
+    while counts.slots() < expected {
+        // Every operand reaches every PE within k + r + c cycles; a
+        // broken schedule must fail here rather than spin.
+        assert!(cycle < k + r + c, "tile wavefront stalled");
+        // Propagate into the current cycle: interior PEs take their
+        // neighbour's previous value; the left/top edges are fed with the
+        // skewed streams (row i and column j skewed by i and j cycles),
+        // in the order of a row-major scan of the array.
+        a_flow.shift();
+        b_flow.shift();
         for i in 0..r {
-            for j in 0..c {
-                let av = if j == 0 {
-                    // Row i is skewed by i cycles.
-                    cycle
-                        .checked_sub(i)
-                        .and_then(|t| a.get(i, t).map(|v| (t, v)))
-                        .map(|(t, v)| {
-                            stats.buffer_reads += 1;
-                            probe.feed(cycle, FeedOperand::A, (i, t));
-                            v
-                        })
-                } else {
-                    a_flow.get(i, j - 1)
-                };
-                a_flow.set_next(i, j, av);
-
-                let bv = if i == 0 {
-                    cycle
-                        .checked_sub(j)
-                        .and_then(|t| b.get(t, j).map(|v| (t, v)))
-                        .map(|(t, v)| {
-                            stats.buffer_reads += 1;
-                            probe.feed(cycle, FeedOperand::B, (t, j));
-                            v
-                        })
-                } else {
-                    b_flow.get(i - 1, j)
-                };
-                b_flow.set_next(i, j, bv);
+            let a_idx = cycle.checked_sub(i).map(|t| (i, t));
+            a_flow.set_next(
+                i,
+                0,
+                fetch(a, a_idx, FeedOperand::A, cycle, &mut counts, probe),
+            );
+            if i == 0 {
+                for j in 0..c {
+                    let b_idx = cycle.checked_sub(j).map(|t| (t, j));
+                    let bv = fetch(b, b_idx, FeedOperand::B, cycle, &mut counts, probe);
+                    b_flow.set_next(0, j, bv);
+                }
             }
         }
         a_flow.advance();
         b_flow.advance();
 
         // MAC phase: every PE holding both operands fires.
-        for i in 0..r {
-            for j in 0..c {
-                if let (Some(av), Some(bv)) = (a_flow.get(i, j), b_flow.get(i, j)) {
-                    acc[(i, j)] = mac(acc[(i, j)], av, bv, zero_gating, stats);
-                    probe.mac(cycle, i, j);
-                    slots += 1;
-                }
-            }
-        }
+        mac_os(
+            &mut acc,
+            a_flow,
+            b_flow,
+            zero_gating,
+            &mut counts,
+            probe,
+            cycle,
+        );
         cycle += 1;
     }
 
     // Drain: outputs shift out row by row (r cycles). The values are
     // already in `acc`; only the latency is billed.
+    counts.fold_into(stats);
     stats.cycles += cycle + r;
     stats.drain_cycles += r;
     stats.tiles += 1;
     acc
+}
+
+/// [`run_tile`] on freshly allocated planes.
+#[cfg(test)]
+pub(crate) fn simulate_tile<P: Probe>(
+    a: &Matrix,
+    b: &Matrix,
+    zero_gating: bool,
+    stats: &mut SimStats,
+    probe: &mut P,
+) -> Matrix {
+    run_tile(&mut OsPlanes::default(), a, b, zero_gating, stats, probe)
 }
 
 #[cfg(test)]

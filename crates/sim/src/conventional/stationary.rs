@@ -11,7 +11,7 @@
 //! wrappers in `lib.rs` perform those projections.
 
 use crate::matrix::Matrix;
-use crate::pe::{mac, Lattice};
+use crate::pe::{fetch, mac_psums, Axis, Flow, StationaryPlanes, TileCounts};
 use crate::probe::{FeedOperand, Probe};
 use crate::stats::SimStats;
 
@@ -27,81 +27,94 @@ use crate::stats::SimStats;
 ///
 /// The per-tile cycle count is `2*sr + sc + t_len - 2` (Eq. 1): `sr`
 /// preload cycles plus `t_len + sr + sc - 2` streaming cycles.
-pub(crate) fn simulate_tile(
+pub(crate) fn run_tile<P: Probe>(
+    planes: &mut StationaryPlanes,
     stationary: &Matrix,
     stream: &Matrix,
     zero_gating: bool,
     stats: &mut SimStats,
-    probe: &mut dyn Probe,
+    probe: &mut P,
 ) -> Matrix {
     let sr = stationary.rows();
     let sc = stationary.cols();
     let t_len = stream.rows();
     debug_assert_eq!(stream.cols(), sr);
 
-    let mut flow = Lattice::new(sr, sc);
-    let mut psum = Lattice::new(sr, sc);
+    // The stream moves right along rows; partial sums move down.
+    let StationaryPlanes { flow, psum } = planes;
+    flow.reset(sr, sc, Axis::Rows, Flow::Forward);
+    psum.reset(sr, sc, Axis::Cols, Flow::Forward);
     let mut out = Matrix::zeros(t_len, sc);
     let mut collected = vec![0usize; sc];
     let mut done = 0usize;
     let mut cycle = 0usize;
+    let mut counts = TileCounts::default();
 
     // Preload: one stationary row per cycle via the vertical interconnect.
     stats.preload_cycles += sr;
-    stats.buffer_reads += sr * sc;
+    counts.buffer_reads += sr * sc;
 
     while done < sc * t_len {
+        // Every operand reaches every PE within t_len + sr + sc cycles; a
+        // broken schedule must fail here rather than spin.
+        assert!(cycle < t_len + sr + sc, "tile wavefront stalled");
         // Stream propagation: left-edge feed with skew k, then rightward.
+        flow.shift();
         for k in 0..sr {
-            for j in 0..sc {
-                let v = if j == 0 {
-                    cycle
-                        .checked_sub(k)
-                        .and_then(|t| stream.get(t, k).map(|v| (t, v)))
-                        .map(|(t, v)| {
-                            stats.buffer_reads += 1;
-                            probe.feed(cycle, FeedOperand::Stream, (t, k));
-                            v
-                        })
-                } else {
-                    flow.get(k, j - 1)
-                };
-                flow.set_next(k, j, v);
-            }
+            let idx = cycle.checked_sub(k).map(|t| (t, k));
+            let v = fetch(stream, idx, FeedOperand::Stream, cycle, &mut counts, probe);
+            flow.set_next(k, 0, v);
         }
         flow.advance();
 
         // MAC + partial-sum descent. A PE fires when its stream operand is
         // present; the skew guarantees the psum from above arrives the same
-        // cycle.
-        for k in 0..sr {
-            for j in 0..sc {
-                if let Some(sv) = flow.get(k, j) {
-                    let psum_in = if k == 0 {
-                        0.0
-                    } else {
-                        psum.get(k - 1, j)
-                            .expect("skew keeps psums aligned with the stream wavefront")
-                    };
-                    let acc = mac(psum_in, stationary[(k, j)], sv, zero_gating, stats);
-                    probe.mac(cycle, k, j);
-                    psum.set_next(k, j, Some(acc));
-                    if k == sr - 1 {
-                        let t = collected[j];
-                        out[(t, j)] = acc;
-                        collected[j] += 1;
-                        done += 1;
-                    }
-                }
+        // cycle. The top row starts a fresh psum.
+        psum.shift();
+        for j in 0..sc {
+            psum.set_next(0, j, Some(0.0));
+        }
+        let fired = mac_psums(
+            psum,
+            stationary,
+            flow,
+            zero_gating,
+            &mut counts,
+            probe,
+            cycle,
+        );
+        assert!(
+            fired.is_ok(),
+            "skew keeps psums aligned with the stream wavefront"
+        );
+        psum.advance();
+        for j in 0..sc {
+            if let Some(acc) = psum.get(sr - 1, j) {
+                out[(collected[j], j)] = acc;
+                collected[j] += 1;
+                done += 1;
             }
         }
-        psum.advance();
         cycle += 1;
     }
 
+    counts.fold_into(stats);
     stats.cycles += sr + cycle;
     stats.tiles += 1;
     out
+}
+
+/// [`run_tile`] on freshly allocated planes.
+#[cfg(test)]
+pub(crate) fn simulate_tile<P: Probe>(
+    stationary: &Matrix,
+    stream: &Matrix,
+    zero_gating: bool,
+    stats: &mut SimStats,
+    probe: &mut P,
+) -> Matrix {
+    let mut planes = StationaryPlanes::default();
+    run_tile(&mut planes, stationary, stream, zero_gating, stats, probe)
 }
 
 #[cfg(test)]
