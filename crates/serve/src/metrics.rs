@@ -163,26 +163,33 @@ pub struct ClassMetrics {
 
 impl ClassMetrics {
     /// Per-class breakdown of `completions`, in [`RequestClass::ALL`]
-    /// order, skipping classes with no traffic.
-    pub fn from_completions(completions: &[Completion]) -> Vec<ClassMetrics> {
+    /// order, skipping classes with no traffic. One pass; the only
+    /// per-request storage is each class's latency vector.
+    pub fn from_completions<'a>(
+        completions: impl IntoIterator<Item = &'a Completion>,
+    ) -> Vec<ClassMetrics> {
+        // Per class: end-to-end latencies, deadline misses, stall cycles.
+        let mut acc = RequestClass::ALL.map(|_| (Vec::new(), 0usize, 0u64));
+        for c in completions {
+            let class = RequestClass::ALL.iter().position(|&k| k == c.class);
+            let (totals, missed, stall) = &mut acc[class.expect("every class is in ALL")];
+            totals.push(c.total_cycles());
+            *missed += usize::from(!c.met_deadline());
+            *stall += c.bandwidth_stall_cycles;
+        }
         RequestClass::ALL
-            .iter()
-            .filter_map(|&class| {
-                let of_class: Vec<&Completion> =
-                    completions.iter().filter(|c| c.class == class).collect();
-                if of_class.is_empty() {
-                    return None;
-                }
-                Some(ClassMetrics {
+            .into_iter()
+            .zip(acc)
+            .filter(|(_, (totals, ..))| !totals.is_empty())
+            .map(
+                |(class, (totals, slo_violations, bandwidth_stall_cycles))| ClassMetrics {
                     class,
-                    completed: of_class.len(),
-                    slo_violations: of_class.iter().filter(|c| !c.met_deadline()).count(),
-                    total: LatencySummary::from_cycles(
-                        of_class.iter().map(|c| c.total_cycles()).collect(),
-                    ),
-                    bandwidth_stall_cycles: of_class.iter().map(|c| c.bandwidth_stall_cycles).sum(),
-                })
-            })
+                    completed: totals.len(),
+                    slo_violations,
+                    total: LatencySummary::from_cycles(totals),
+                    bandwidth_stall_cycles,
+                },
+            )
             .collect()
     }
 }
