@@ -117,6 +117,6 @@ pub use scheduler::{
     SchedulerPolicy, SchedulingPolicy, ShedReason, WfqPolicy,
 };
 pub use trace::{
-    check_conservation, chrome_trace_json, AggregatingSink, Histogram, NullSink, ProfileReport,
-    RecordingSink, RequestOutcome, SimProfile, TraceEvent, TraceSink,
+    check_conservation, chrome_trace_json, AggregatingSink, Histogram, NullSink, RecordingSink,
+    RequestOutcome, SimProfile, TraceEvent, TraceSink,
 };

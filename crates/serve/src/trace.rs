@@ -24,11 +24,12 @@
 //!   time-in-service vs bandwidth stall) and the per-request
 //!   [`RequestOutcome`] records that let tests pin the decomposition
 //!   exactly.
-//! * [`SimProfile`] — a self-profiler for the simulator itself:
-//!   wall-clock requests simulated per second, events processed, retime
-//!   passes and jobs touched per retime. The `perf_baseline` binary
-//!   turns its [`ProfileReport`] into the committed `BENCH_*.json` perf
-//!   trajectory (see `docs/observability.md`).
+//! * [`SimProfile`] — exact work counters for the simulator itself:
+//!   events processed, dispatches, admissions and sheds, retime passes
+//!   and jobs touched per retime, and the dispatch planner's cache
+//!   counters. The repository benchmark (`perfbench/`) reports them
+//!   per layer, and CI pins them per seed (see
+//!   `docs/observability.md`).
 //!
 //! # Examples
 //!
@@ -55,7 +56,6 @@
 use crate::request::RequestClass;
 use crate::scheduler::ShedReason;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 /// Terminal payload shared by [`TraceEvent::Completed`] and
 /// [`TraceEvent::DeadlineMissed`]: everything needed to decompose one
@@ -561,17 +561,13 @@ impl TraceSink for AggregatingSink {
     }
 }
 
-/// Self-profiles the simulator: how fast the event engine itself runs.
-///
-/// The wall clock starts at construction ([`SimProfile::new`]) and
-/// [`finish`](SimProfile::finish) snapshots it into a
-/// [`ProfileReport`] — requests simulated per wall-second, events
-/// processed, retime passes and jobs touched per retime. This is the
-/// sink behind the `perf_baseline` binary and the committed
-/// `BENCH_*.json` trajectory.
-#[derive(Debug, Clone)]
+/// Counts the simulator's own work: events processed, dispatches,
+/// admissions and sheds, retime passes and jobs touched per retime, and
+/// the dispatch planner's cache counters. Every count is exact and
+/// repeats per seed, so a change in how much work the engine does shows
+/// as a moved count on any machine.
+#[derive(Debug, Clone, Default)]
 pub struct SimProfile {
-    start: Instant,
     /// Events delivered to the sink.
     pub events: u64,
     /// Requests that reached a terminal event.
@@ -591,61 +587,15 @@ pub struct SimProfile {
     pub plan_cache_hits: u64,
     /// Dispatch-plan cache misses (cold planner passes).
     pub plan_cache_misses: u64,
-    /// Candidate grids scored by cold planner passes.
+    /// Candidate grids scored by cold planner passes (the `1×1`
+    /// no-shard baseline included).
     pub plan_grids_scored: u64,
 }
 
 impl SimProfile {
-    /// Starts the wall clock.
+    /// A profile with every count at zero.
     pub fn new() -> Self {
-        SimProfile {
-            start: Instant::now(),
-            events: 0,
-            completed: 0,
-            retime_passes: 0,
-            retime_jobs_touched: 0,
-            dispatches: 0,
-            admitted: 0,
-            shed: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_grids_scored: 0,
-        }
-    }
-
-    /// Snapshots the profile into a report (the wall clock keeps
-    /// running; `finish` may be called repeatedly).
-    pub fn finish(&self) -> ProfileReport {
-        let wall_s = self.start.elapsed().as_secs_f64();
-        ProfileReport {
-            wall_s,
-            requests: self.completed,
-            requests_per_wall_s: if wall_s > 0.0 {
-                self.completed as f64 / wall_s
-            } else {
-                0.0
-            },
-            events: self.events,
-            dispatches: self.dispatches,
-            requests_admitted: self.admitted,
-            requests_shed: self.shed,
-            retime_passes: self.retime_passes,
-            retime_jobs_touched: self.retime_jobs_touched,
-            mean_jobs_per_retime: if self.retime_passes == 0 {
-                0.0
-            } else {
-                self.retime_jobs_touched as f64 / self.retime_passes as f64
-            },
-            plan_cache_hits: self.plan_cache_hits,
-            plan_cache_misses: self.plan_cache_misses,
-            plan_grids_scored: self.plan_grids_scored,
-        }
-    }
-}
-
-impl Default for SimProfile {
-    fn default() -> Self {
-        SimProfile::new()
+        SimProfile::default()
     }
 }
 
@@ -670,39 +620,6 @@ impl TraceSink for SimProfile {
         self.plan_cache_misses += misses;
         self.plan_grids_scored += grids_scored;
     }
-}
-
-/// What [`SimProfile::finish`] reports: the simulator's own speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileReport {
-    /// Wall-clock seconds profiled.
-    pub wall_s: f64,
-    /// Requests that reached a terminal event.
-    pub requests: u64,
-    /// Requests simulated per wall-clock second — the headline
-    /// trajectory number the CI regression gate watches.
-    pub requests_per_wall_s: f64,
-    /// Trace events processed.
-    pub events: u64,
-    /// Dispatches issued.
-    pub dispatches: u64,
-    /// Requests admitted into a scheduler queue.
-    pub requests_admitted: u64,
-    /// Requests shed by admission control.
-    pub requests_shed: u64,
-    /// Retime passes run by the shared-memory model.
-    pub retime_passes: u64,
-    /// Total running jobs touched across all retime passes.
-    pub retime_jobs_touched: u64,
-    /// Mean jobs touched per retime pass.
-    pub mean_jobs_per_retime: f64,
-    /// Dispatch-plan cache hits across all pods.
-    pub plan_cache_hits: u64,
-    /// Dispatch-plan cache misses (cold planner passes).
-    pub plan_cache_misses: u64,
-    /// Candidate grids scored by cold planner passes (the `1×1`
-    /// no-shard baseline included).
-    pub plan_grids_scored: u64,
 }
 
 /// Checks the lifecycle-conservation laws over a recorded event stream:

@@ -397,6 +397,10 @@ fn cluster_forwards_every_pods_planner_counters() {
         let counts = |p: &SimProfile| (p.plan_cache_hits, p.plan_cache_misses, p.plan_grids_scored);
         assert!(alone.plan_cache_misses > 0, "scenario must plan");
         assert_eq!(counts(&fleet), counts(&alone));
+        // Every cold pass scores at least its 1x1 baseline.
+        for p in [&fleet, &alone] {
+            assert!(p.plan_grids_scored >= p.plan_cache_misses);
+        }
     }
 }
 
